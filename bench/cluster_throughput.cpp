@@ -1,28 +1,29 @@
-// Experiment C1 — sharded serving-cluster throughput: batch wall-clock vs
+// Experiment C1 — serving throughput: batch wall-clock vs cache budget,
 // shard count, partitioner, and pool slots on one fixed workload.
 //
-// The cluster is the repo's partitioned-deployment story: the same batch
-// nas_oracle serves through one oracle, routed across N shard oracles with
-// private bounded caches.  This bench sweeps the cluster knobs the scenario
-// runner exposes — cluster-shards x partition x query-threads — on one
-// (family, n, seed, schedule, workload) point, and gates on the serving
+// The one serving bench.  A `--shards 0` row serves the batch through one
+// DistanceOracle, where `--threads` is the BFS shard count inside the batch;
+// a row with N >= 1 shards routes the same batch across N shard oracles
+// with private bounded caches, where `--threads` is the pool slots serving
+// the shards.  This bench sweeps the serving knobs the scenario runner
+// exposes — cache-budget x cluster-shards x partition x query-threads — on
+// one (family, n, seed, schedule, workload) point, and gates on the serving
 // layer's determinism contract: every row's answer digest must equal the
 // first row's (shard count 0 = the single-oracle baseline).
 //
 //   ./cluster_throughput [--family er] [--n 20000] [--seed 1]
 //       [--algo em] [--eps 0.25] [--kappa 3] [--rho 0.4]
 //       [--workload zipf] [--queries 20000] [--workload-seed 1]
-//       [--zipf-theta 0.99] [--cache-budget 67108864]   # per shard
+//       [--zipf-theta 0.99]
+//       [--cache-budget 0,1048576,67108864]  # bytes per oracle
 //       [--shards 0,1,2,8]        # 0 = single-oracle baseline row
 //       [--partition hash,range]
-//       [--replicas 1,2,4]        # replica-group sizes per shard
-//       [--route round-robin,least-loaded,deterministic]
-//       [--threads 1,2]           # pool slots serving the shards
+//       [--threads 1,2]           # BFS shards (0 shards) or pool slots
 //       [--snapshot-format none,v1,v2]  # warm direct / from saved snapshot
 //       [--bfs-kernel auto,topdown,hybrid]  # traversal kernels to sweep
 //       [--json BENCH_cluster.json] [--csv out.csv]
 //
-// Thin wrapper over the scenario runner (specs differ only in the cluster
+// Thin wrapper over the scenario runner (specs differ only in the serving
 // axes), executed sequentially so per-row wall-clock is honest.
 #include <cstdint>
 #include <iostream>
@@ -52,21 +53,17 @@ int main(int argc, char** argv) {
   base.workload_seed = static_cast<std::uint64_t>(
       flags.integer("workload-seed", 1, "request-generator seed"));
   base.zipf_theta = flags.real("zipf-theta", 0.99, "zipf skew exponent");
-  base.cache_budget = static_cast<std::uint64_t>(flags.integer(
-      "cache-budget", 64 << 20, "per-shard cache budget in bytes"));
+  const std::string budget_spec = flags.str(
+      "cache-budget", "67108864",
+      "comma-separated cache budgets in bytes, per oracle (0 = no cache)");
   const std::string shard_spec = flags.str(
       "shards", "0,1,2,8",
       "comma-separated shard counts; 0 = single-oracle baseline");
   const std::string partition_spec =
       flags.str("partition", "hash", "comma-separated partitioners: hash|range");
-  const std::string replica_spec = flags.str(
-      "replicas", "1", "comma-separated replica counts per shard (>= 1)");
-  const std::string route_spec = flags.str(
-      "route", "round-robin",
-      "comma-separated routing policies: round-robin|least-loaded|"
-      "deterministic (the digest gate proves answers are policy-independent)");
-  const std::string thread_spec =
-      flags.str("threads", "1,2", "comma-separated pool slots per batch");
+  const std::string thread_spec = flags.str(
+      "threads", "1,2",
+      "comma-separated BFS shards (0-shard rows) or pool slots per batch");
   const std::string format_spec = flags.str(
       "snapshot-format", "none",
       "comma-separated warmup paths: none (direct) | v1 | v2 (cluster warmed "
@@ -79,24 +76,22 @@ int main(int argc, char** argv) {
       flags.str("json", "BENCH_cluster.json", "perf JSON output path");
   const std::string csv_path = flags.str("csv", "", "CSV output path");
   if (flags.handle_help(
-          "cluster_throughput — experiment C1: sharded serving cluster "
-          "wall-clock vs shards/partition/threads")) {
+          "cluster_throughput — experiment C1: serving wall-clock vs "
+          "cache budget/shards/partition/threads")) {
     return 0;
   }
   flags.reject_unknown();
 
+  // The runner matrix's parser rejects negative budgets.
+  run::ScenarioMatrix budgets;
+  budgets.set("cache-budget", budget_spec);
+  const auto& budget_list = budgets.cache_budgets;
   std::vector<unsigned> shard_list;
   for (const auto& item : run::split_list(shard_spec)) {
     shard_list.push_back(
         static_cast<unsigned>(util::Flags::parse_integer("shards", item)));
   }
   const auto partition_list = run::split_list(partition_spec);
-  std::vector<unsigned> replica_list;
-  for (const auto& item : run::split_list(replica_spec)) {
-    replica_list.push_back(
-        static_cast<unsigned>(util::Flags::parse_integer("replicas", item)));
-  }
-  const auto route_list = run::split_list(route_spec);
   std::vector<unsigned> thread_list;
   for (const auto& item : run::split_list(thread_spec)) {
     thread_list.push_back(
@@ -104,46 +99,39 @@ int main(int argc, char** argv) {
   }
   const auto format_list = run::split_list(format_spec);
   const auto kernel_list = run::split_list(kernel_spec);
-  if (shard_list.empty() || partition_list.empty() || replica_list.empty() ||
-      route_list.empty() || thread_list.empty() || format_list.empty() ||
-      kernel_list.empty()) {
-    std::cerr << "error: empty --shards, --partition, --replicas, --route, "
+  if (budget_list.empty() || shard_list.empty() || partition_list.empty() ||
+      thread_list.empty() || format_list.empty() || kernel_list.empty()) {
+    std::cerr << "error: empty --cache-budget, --shards, --partition, "
                  "--threads, --snapshot-format, or --bfs-kernel list\n";
     return 2;
   }
 
-  bench::banner("C1", "sharded serving cluster: wall-clock vs shards/partition");
+  bench::banner("C1", "serving: wall-clock vs budget/shards/partition");
   run::Runner runner;
   const auto g = runner.cache().get(base.family, base.n, base.seed);
   std::cout << "family=" << base.family << " " << g->summary()
             << " algo=" << base.algo << " workload=" << base.workload << " ("
-            << base.queries << " queries/batch, budget " << base.cache_budget
-            << " B/shard)\n\n";
+            << base.queries << " queries/batch)\n\n";
 
-  // Shard-major sweep; a 0-shard row is the single-oracle baseline (the
-  // partition/replica/route axes are meaningless there, so they are pinned
-  // to their first values instead of duplicating the row per combination).
+  // Kernel-, format-, then budget-major sweep; a 0-shard row is the
+  // single-oracle baseline (the partition axis is meaningless there, so it
+  // is pinned to its first value instead of duplicating the row).
   std::vector<run::ScenarioSpec> specs;
   for (const auto& kernel : kernel_list) {
     for (const auto& format : format_list) {
-      for (const unsigned shards : shard_list) {
-        for (const auto& partition : partition_list) {
-          if (shards == 0 && partition != partition_list.front()) continue;
-          for (const unsigned replicas : replica_list) {
-            if (shards == 0 && replicas != replica_list.front()) continue;
-            for (const auto& route : route_list) {
-              if (shards == 0 && route != route_list.front()) continue;
-              for (const unsigned threads : thread_list) {
-                auto spec = base;
-                spec.bfs_kernel = kernel;
-                spec.snapshot_format = format;
-                spec.cluster_shards = shards;
-                spec.partition = partition;
-                spec.replicas = replicas;
-                spec.route = route;
-                spec.query_threads = threads;
-                specs.push_back(spec);
-              }
+      for (const auto budget : budget_list) {
+        for (const unsigned shards : shard_list) {
+          for (const auto& partition : partition_list) {
+            if (shards == 0 && partition != partition_list.front()) continue;
+            for (const unsigned threads : thread_list) {
+              auto spec = base;
+              spec.bfs_kernel = kernel;
+              spec.snapshot_format = format;
+              spec.cache_budget = budget;
+              spec.cluster_shards = shards;
+              spec.partition = partition;
+              spec.query_threads = threads;
+              specs.push_back(spec);
             }
           }
         }
@@ -154,9 +142,9 @@ int main(int argc, char** argv) {
   // Sequential execution: per-row serving wall-clock must not share cores.
   const auto rows = runner.run(specs);
 
-  util::Table t({"kernel", "format", "shards", "partition", "R", "route",
+  util::Table t({"kernel", "format", "budget B", "shards", "partition",
                  "slots", "used", "warmup ms", "serve ms", "kqueries/s", "BFS",
-                 "hits", "evict", "sheds", "digest ok"});
+                 "hits", "evict", "digest ok"});
   bool all_ok = true, all_identical = true;
   std::vector<double> kqps;
   std::vector<bool> identicals;
@@ -176,19 +164,19 @@ int main(int argc, char** argv) {
     all_identical = all_identical && identical;
     all_ok = all_ok && row.passed();
     const bool cluster_row = row.spec.cluster_shards != 0;
+    // "used": shards that received traffic (cluster rows) or BFS shards
+    // the batch actually ran on (single-oracle rows).
     t.add_row({row.spec.bfs_kernel, row.spec.snapshot_format,
+               std::to_string(row.spec.cache_budget),
                std::to_string(row.spec.cluster_shards),
                cluster_row ? row.spec.partition : "-",
-               cluster_row ? std::to_string(row.spec.replicas) : "-",
-               cluster_row ? row.spec.route : "-",
                std::to_string(row.spec.query_threads),
-               std::to_string(row.cluster_shards_used),
+               std::to_string(row.oracle_shards),
                util::Table::num(row.snapshot_warmup_ms, 2),
                util::Table::num(row.oracle_wall_ms, 1), util::Table::num(rate),
                std::to_string(row.oracle_bfs_passes),
                std::to_string(row.oracle_cache_hits),
                std::to_string(row.oracle_evictions),
-               std::to_string(row.cluster_sheds),
                identical ? "yes" : "NO"});
   }
   t.print(std::cout);

@@ -6,10 +6,10 @@
 // compares is a pure function of the request history, never of wall-clock
 // or thread scheduling.
 //
-//   * Counter       — a monotonic uint64 (cache hits, sheds, ...).
+//   * Counter       — a monotonic uint64 (cache hits, evictions, ...).
 //   * HighWater     — a monotonic maximum (queue-depth high-water marks).
 //   * Histogram     — fixed upper-bound buckets over uint64 samples.  Fed
-//                     *work* values (batch sizes, per-replica queue depths)
+//                     *work* values (batch sizes, per-shard queue depths)
 //                     the bucket counts are byte-identical across runs and
 //                     thread counts, so tests assert on them directly.  Fed
 //                     wall-clock values (serve latency) the counts are

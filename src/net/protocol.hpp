@@ -12,8 +12,8 @@
 //                 serving counters (the nas_serve --stats-json schema plus
 //                 the server's connection counters).
 //   METRICS       one JSON object line: the cluster's work metrics — batch
-//                 and replica-depth histograms, queue-depth high-water
-//                 marks, lifetime per-replica counters, metrics_digest —
+//                 and shard-depth histograms, queue-depth high-water
+//                 marks, lifetime per-shard counters, metrics_digest —
 //                 plus the timing-only serve-latency histogram (the
 //                 serve::cluster_metrics_fields schema).
 //   QUIT          the server replies "BYE" and closes after flushing.

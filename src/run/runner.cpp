@@ -62,6 +62,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
                                       spec.rho);
 
     std::shared_ptr<const graph::Graph> spanner;
+    bool phase0_unpopular = false;
     util::Timer build_timer;
     if (spec.algo == "em") {
       core::BuildOptions build_options{.validate = spec.validate};
@@ -73,6 +74,8 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
       row.rounds = result.ledger.rounds();
       row.guarantee_mult = params.stretch_multiplicative();
       row.guarantee_add = params.stretch_additive();
+      phase0_unpopular = !result.trace.phases.empty() &&
+                         result.trace.phases.front().num_popular == 0;
       spanner = std::make_shared<const graph::Graph>(std::move(result.spanner));
     } else if (spec.algo == "en17") {
       const auto algo_seed = spec.algo_seed != 0 ? spec.algo_seed : spec.seed;
@@ -91,6 +94,7 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
     }
     row.build_wall_ms = build_timer.millis();
     row.spanner_edges = spanner->num_edges();
+    row.degenerate = phase0_unpopular || row.spanner_edges == row.m;
 
     if (spec.verify_mode == "sampled" || spec.verify_mode == "exact") {
       util::Timer verify_timer;
@@ -172,8 +176,6 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
         const serve::ClusterOptions cluster_options{
             .shards = spec.cluster_shards,
             .partition = spec.partition,
-            .replicas = spec.replicas,
-            .route = spec.route,
             .shard_cache_budget_bytes = spec.cache_budget,
             .bfs_kernel = graph::parse_bfs_kernel(spec.bfs_kernel)};
         std::optional<serve::ShardedCluster> cluster;
@@ -202,7 +204,6 @@ ResultRow Runner::run_one(const ScenarioSpec& spec, std::size_t index,
         row.oracle_evictions = stats.evictions;
         row.oracle_digest = apps::digest_answers(answers);
         row.cluster_shards_used = stats.shards_used;
-        row.cluster_sheds = stats.sheds;
         row.cluster_queue_high_water = stats.queue_depth_high_water;
         row.cluster_counter_digest = stats.digest();
       }

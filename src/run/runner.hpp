@@ -41,6 +41,10 @@ struct ResultRow {
   std::uint64_t rounds = 0;         ///< simulated CONGEST rounds
   double guarantee_mult = 1.0;      ///< proven stretch d_H <= M*d_G + A
   double guarantee_add = 0.0;
+  /// The run did not exercise the construction: the spanner kept every
+  /// input edge (H = E), or an `em` build found no popular cluster in
+  /// phase 0, so its guarantee is vacuous.  Deterministic.
+  bool degenerate = false;
 
   // Verification results (valid iff `verified`).
   bool verified = false;
@@ -65,9 +69,8 @@ struct ResultRow {
   std::uint64_t oracle_evictions = 0;
   std::uint64_t oracle_digest = 0;
   std::uint64_t cluster_shards_used = 0;  ///< shards with >= 1 routed request
-  /// Replica-group results (cluster path only; all deterministic).
-  std::uint64_t cluster_sheds = 0;  ///< admission-control reroutes
-  std::uint64_t cluster_queue_high_water = 0;  ///< max planned replica depth
+  /// Cluster-path results (all deterministic).
+  std::uint64_t cluster_queue_high_water = 0;  ///< max shard sub-batch size
   std::uint64_t cluster_counter_digest = 0;    ///< ClusterStats::digest()
   /// Snapshot round-trip results (spec.snapshot_format != "none"): the
   /// on-disk size of the saved snapshot.  Deterministic — v1 is canonical

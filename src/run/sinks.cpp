@@ -26,6 +26,7 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
       {"substrate", JsonValue::str(spec.substrate)},
       {"spanner_edges", JsonValue::number(row.spanner_edges)},
       {"rounds", JsonValue::number(row.rounds)},
+      {"degenerate", JsonValue::boolean(row.degenerate)},
       {"guarantee_mult", JsonValue::literal(format_real(row.guarantee_mult))},
       {"guarantee_add", JsonValue::literal(format_real(row.guarantee_add))},
       {"verify_mode", JsonValue::str(spec.verify_mode)},
@@ -52,10 +53,6 @@ util::JsonObject row_fields(const ResultRow& row, const SinkOptions& options) {
        JsonValue::number(static_cast<std::uint64_t>(spec.cluster_shards))},
       {"cluster_partition", JsonValue::str(spec.partition)},
       {"cluster_shards_used", JsonValue::number(row.cluster_shards_used)},
-      {"cluster_replicas",
-       JsonValue::number(static_cast<std::uint64_t>(spec.replicas))},
-      {"cluster_route", JsonValue::str(spec.route)},
-      {"cluster_sheds", JsonValue::number(row.cluster_sheds)},
       {"cluster_queue_high_water",
        JsonValue::number(row.cluster_queue_high_water)},
       {"cluster_counter_digest", JsonValue::hex64(row.cluster_counter_digest)},

@@ -11,39 +11,30 @@ namespace nas::serve {
 
 namespace {
 
-ReplicaGroupOptions group_options(const ClusterOptions& options) {
-  return ReplicaGroupOptions{.replicas = options.replicas,
-                             .policy = parse_route_policy(options.route),
-                             .queue_depth = options.replica_queue_depth};
-}
-
-std::vector<ReplicaGroup> make_groups(const graph::Csr& spanner,
-                                      double multiplicative, double additive,
-                                      const ClusterOptions& options) {
+std::vector<apps::SpannerDistanceOracle> make_shards(
+    const graph::Csr& spanner, double multiplicative, double additive,
+    const ClusterOptions& options) {
   const apps::OracleOptions oracle_options{
       .cache_budget_bytes = options.shard_cache_budget_bytes,
       .bfs_kernel = options.bfs_kernel};
-  const ReplicaGroupOptions replica_options = group_options(options);
-  std::vector<ReplicaGroup> groups;
-  groups.reserve(options.shards);
+  std::vector<apps::SpannerDistanceOracle> shards;
+  shards.reserve(options.shards);
   for (unsigned s = 0; s < options.shards; ++s) {
-    // Csr copies are O(1) views onto the same arrays: every oracle in every
-    // group serves the identical immutable structure, only the caches are
-    // per-replica.
-    groups.emplace_back(spanner, multiplicative, additive, oracle_options,
-                        replica_options);
+    // Csr copies are O(1) views onto the same arrays: every shard serves
+    // the identical immutable structure, only the caches are per-shard.
+    shards.emplace_back(spanner, multiplicative, additive, oracle_options);
   }
-  return groups;
+  return shards;
 }
 
 }  // namespace
 
-ShardedCluster::ShardedCluster(std::vector<ReplicaGroup> groups,
+ShardedCluster::ShardedCluster(std::vector<apps::SpannerDistanceOracle> shards,
                                const ClusterOptions& options)
     : partitioner_(parse_partition(options.partition), options.shards,
-                   groups.empty() ? 0 : groups.front().replica(0).num_vertices()),
-      groups_(std::move(groups)) {
-  if (groups_.size() != options.shards) {
+                   shards.empty() ? 0 : shards.front().num_vertices()),
+      shards_(std::move(shards)) {
+  if (shards_.size() != options.shards) {
     throw std::invalid_argument("ShardedCluster: shard count mismatch");
   }
 }
@@ -56,7 +47,7 @@ ShardedCluster::ShardedCluster(const graph::Graph& spanner,
 
 ShardedCluster::ShardedCluster(graph::Csr spanner, double multiplicative,
                                double additive, const ClusterOptions& options)
-    : ShardedCluster(make_groups(spanner, multiplicative, additive, options),
+    : ShardedCluster(make_shards(spanner, multiplicative, additive, options),
                      options) {}
 
 ShardedCluster ShardedCluster::from_snapshot_files(
@@ -69,7 +60,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
     throw std::runtime_error(
         "ShardedCluster: pass one snapshot for every shard (got " +
         std::to_string(paths.size()) + " paths for " +
-        std::to_string(options.shards) + " shards) or one to replicate");
+        std::to_string(options.shards) + " shards) or one for all shards");
   }
   const apps::OracleOptions oracle_options{
       .cache_budget_bytes = options.shard_cache_budget_bytes,
@@ -78,8 +69,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
   if (paths.size() == 1) {
     // One snapshot, loaded/mapped once: every oracle views the same CSR
     // arrays (for a v2 snapshot that is the mmap handoff — the file is
-    // mapped a single time and the mapping is shared across all shards and
-    // replicas).
+    // mapped a single time and the mapping is shared across all shards).
     const auto loaded =
         apps::SpannerDistanceOracle::load_file(paths.front(), oracle_options);
     return ShardedCluster(loaded.csr(), loaded.multiplicative(),
@@ -113,16 +103,7 @@ ShardedCluster ShardedCluster::from_snapshot_files(
                                " disagrees on the guarantee pair");
     }
   }
-  // Each shard's group replicates over its own snapshot's CSR (the Csr view
-  // keeps the underlying arrays/mapping alive past `loaded`).
-  const ReplicaGroupOptions replica_options = group_options(options);
-  std::vector<ReplicaGroup> groups;
-  groups.reserve(loaded.size());
-  for (const auto& oracle : loaded) {
-    groups.emplace_back(oracle.csr(), oracle.multiplicative(),
-                        oracle.additive(), oracle_options, replica_options);
-  }
-  return ShardedCluster(std::move(groups), options);
+  return ShardedCluster(std::move(loaded), options);
 }
 
 std::vector<std::uint32_t> ShardedCluster::serve(
@@ -130,95 +111,55 @@ std::vector<std::uint32_t> ShardedCluster::serve(
   const util::Timer timer;
   const Router router(partitioner_);
   const auto plan = router.plan(batch);
-  const std::size_t shard_count = groups_.size();
+  const std::size_t shard_count = shards_.size();
 
-  // Phase 1 (serial): route each shard's sub-batch across its replicas.
-  // Planning before execution is what makes least-loaded deterministic —
-  // "outstanding depth" is a property of the plan, not of thread timing.
-  std::vector<ReplicaPlan> replica_plans(shard_count);
-  struct Unit {
-    std::size_t shard;
-    unsigned replica;
-  };
-  std::vector<Unit> units;
+  // Phase 1 (parallel): each ThreadPool slot owns a contiguous block of
+  // non-empty shards and touches only those oracles, answer slots, and
+  // stats slots, so the results are independent of the slot count.  Empty
+  // shards are skipped (their cache state stays untouched).
+  std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    if (plan.queries[s].empty()) continue;
-    replica_plans[s] = groups_[s].plan(plan.queries[s]);
-    for (unsigned r = 0; r < groups_[s].size(); ++r) {
-      if (!replica_plans[s].queries[r].empty()) {
-        units.push_back(Unit{s, r});
-      }
-    }
+    if (!plan.queries[s].empty()) busy.push_back(s);
   }
-
-  // Phase 2 (parallel): each ThreadPool slot owns a contiguous block of
-  // (shard, replica) units and touches only those oracles, answer slots,
-  // and stats slots, so the results are independent of the slot count.
-  // Empty units were skipped above (their cache state stays untouched).
-  std::vector<std::vector<std::vector<std::uint32_t>>> replica_answers(
-      shard_count);
-  std::vector<std::vector<apps::BatchStats>> replica_stats(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    replica_answers[s].resize(groups_[s].size());
-    replica_stats[s].resize(groups_[s].size());
-  }
+  std::vector<std::vector<std::uint32_t>> shard_answers(shard_count);
+  std::vector<apps::BatchStats> shard_stats(shard_count);
   util::ThreadPool::run_sharded(
-      units.size(), threads, [&](std::size_t begin, std::size_t end) {
+      busy.size(), threads, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto [s, r] = units[i];
-          groups_[s].execute(replica_plans[s], r, &replica_answers[s][r],
-                             &replica_stats[s][r]);
+          const std::size_t s = busy[i];
+          shard_answers[s] =
+              shards_[s].batch_query(plan.queries[s], 1, &shard_stats[s]);
         }
       });
 
-  // Phase 3 (serial): merge replica answers to sub-batch order, fold the
-  // pass into lifetime counters and work metrics, assemble per-call stats.
-  std::vector<std::vector<std::uint32_t>> shard_answers(shard_count);
-  std::vector<std::vector<ReplicaCounters>> per_replica(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (plan.queries[s].empty()) {
-      per_replica[s].assign(groups_[s].size(), ReplicaCounters{});
-      continue;
-    }
-    shard_answers[s] = ReplicaGroup::merge(replica_plans[s], replica_answers[s],
-                                           plan.queries[s].size());
-    groups_[s].absorb(replica_plans[s], replica_stats[s], &per_replica[s]);
+  // Phase 2 (serial): assemble this pass's counters and fold them into the
+  // lifetime work metrics.
+  ClusterStats call;
+  call.requests = batch.size();
+  call.shards_used = busy.size();
+  call.per_shard.resize(shard_count);
+  for (const std::size_t s : busy) {
+    auto& c = call.per_shard[s];
+    c.requests = plan.queries[s].size();
+    c.distinct_sources = shard_stats[s].distinct_sources;
+    c.cache_hits = shard_stats[s].cache_hits;
+    c.bfs_passes = shard_stats[s].bfs_passes;
+    c.evictions = shard_stats[s].evictions;
+    c.queue_high_water = c.requests;
+    call.distinct_sources += c.distinct_sources;
+    call.cache_hits += c.cache_hits;
+    call.bfs_passes += c.bfs_passes;
+    call.evictions += c.evictions;
+    call.queue_depth_high_water =
+        std::max(call.queue_depth_high_water, c.requests);
+    metrics_.shard_depth.record(c.requests);
   }
-
   ++metrics_.serve_calls;
   metrics_.batch_requests.record(batch.size());
-  for (const auto& unit : units) {
-    const auto depth = replica_plans[unit.shard].queries[unit.replica].size();
-    metrics_.replica_depth.record(depth);
-    metrics_.queue_depth_high_water.observe(depth);
-  }
+  metrics_.lifetime += call;
   metrics_.serve_latency_ms.record(
       static_cast<std::uint64_t>(timer.millis()));
-
-  if (stats != nullptr) {
-    *stats = ClusterStats{};
-    stats->requests = batch.size();
-    stats->shards_used = plan.shards_used();
-    stats->per_shard.resize(shard_count);
-    stats->per_replica = std::move(per_replica);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      auto& c = stats->per_shard[s];
-      c.requests = plan.queries[s].size();
-      for (const auto& rc : stats->per_replica[s]) {
-        c.distinct_sources += rc.distinct_sources;
-        c.cache_hits += rc.cache_hits;
-        c.bfs_passes += rc.bfs_passes;
-        c.evictions += rc.evictions;
-        stats->sheds += rc.sheds;
-        stats->queue_depth_high_water =
-            std::max(stats->queue_depth_high_water, rc.queue_high_water);
-      }
-      stats->distinct_sources += c.distinct_sources;
-      stats->cache_hits += c.cache_hits;
-      stats->bfs_passes += c.bfs_passes;
-      stats->evictions += c.evictions;
-    }
-  }
+  if (stats != nullptr) *stats = std::move(call);
   return Router::merge(plan, shard_answers, batch.size());
 }
 
@@ -228,38 +169,21 @@ ClusterStats& ClusterStats::operator+=(const ClusterStats& other) {
   cache_hits += other.cache_hits;
   bfs_passes += other.bfs_passes;
   evictions += other.evictions;
-  sheds += other.sheds;
   queue_depth_high_water =
       std::max(queue_depth_high_water, other.queue_depth_high_water);
   if (per_shard.size() < other.per_shard.size()) {
     per_shard.resize(other.per_shard.size());
   }
   for (std::size_t s = 0; s < other.per_shard.size(); ++s) {
-    per_shard[s].requests += other.per_shard[s].requests;
-    per_shard[s].distinct_sources += other.per_shard[s].distinct_sources;
-    per_shard[s].cache_hits += other.per_shard[s].cache_hits;
-    per_shard[s].bfs_passes += other.per_shard[s].bfs_passes;
-    per_shard[s].evictions += other.per_shard[s].evictions;
-  }
-  if (per_replica.size() < other.per_replica.size()) {
-    per_replica.resize(other.per_replica.size());
-  }
-  for (std::size_t s = 0; s < other.per_replica.size(); ++s) {
-    if (per_replica[s].size() < other.per_replica[s].size()) {
-      per_replica[s].resize(other.per_replica[s].size());
-    }
-    for (std::size_t r = 0; r < other.per_replica[s].size(); ++r) {
-      auto& mine = per_replica[s][r];
-      const auto& theirs = other.per_replica[s][r];
-      mine.requests += theirs.requests;
-      mine.sheds += theirs.sheds;
-      mine.distinct_sources += theirs.distinct_sources;
-      mine.cache_hits += theirs.cache_hits;
-      mine.bfs_passes += theirs.bfs_passes;
-      mine.evictions += theirs.evictions;
-      mine.queue_high_water =
-          std::max(mine.queue_high_water, theirs.queue_high_water);
-    }
+    auto& mine = per_shard[s];
+    const auto& theirs = other.per_shard[s];
+    mine.requests += theirs.requests;
+    mine.distinct_sources += theirs.distinct_sources;
+    mine.cache_hits += theirs.cache_hits;
+    mine.bfs_passes += theirs.bfs_passes;
+    mine.evictions += theirs.evictions;
+    mine.queue_high_water =
+        std::max(mine.queue_high_water, theirs.queue_high_water);
   }
   shards_used = 0;
   for (const auto& c : per_shard) {
@@ -276,7 +200,6 @@ std::uint64_t ClusterStats::digest() const {
   d.add(cache_hits);
   d.add(bfs_passes);
   d.add(evictions);
-  d.add(sheds);
   d.add(queue_depth_high_water);
   d.add(per_shard.size());
   for (const auto& c : per_shard) {
@@ -285,19 +208,7 @@ std::uint64_t ClusterStats::digest() const {
     d.add(c.cache_hits);
     d.add(c.bfs_passes);
     d.add(c.evictions);
-  }
-  d.add(per_replica.size());
-  for (const auto& shard : per_replica) {
-    d.add(shard.size());
-    for (const auto& rc : shard) {
-      d.add(rc.requests);
-      d.add(rc.sheds);
-      d.add(rc.distinct_sources);
-      d.add(rc.cache_hits);
-      d.add(rc.bfs_passes);
-      d.add(rc.evictions);
-      d.add(rc.queue_high_water);
-    }
+    d.add(c.queue_high_water);
   }
   return d.value();
 }
@@ -306,28 +217,22 @@ std::uint64_t ClusterMetrics::work_digest() const {
   metrics::Digest d;
   d.add(serve_calls);
   d.add(batch_requests);
-  d.add(replica_depth);
-  d.add(queue_depth_high_water.value());
+  d.add(shard_depth);
+  d.add(lifetime.digest());
   // serve_latency_ms is wall-clock and deliberately excluded.
   return d.value();
 }
 
 namespace {
 
-/// Renders [shard][replica] counters as one nested JSON array literal,
-/// e.g. "[[3,2],[4,1]]".
+/// Renders one counter per shard as a JSON array literal, e.g. "[3,0,4]".
 template <typename Field>
-std::string nested(const std::vector<std::vector<ReplicaCounters>>& per_replica,
-                   Field field) {
+std::string per_shard_array(const std::vector<ShardCounters>& per_shard,
+                            Field field) {
   std::string out = "[";
-  for (std::size_t s = 0; s < per_replica.size(); ++s) {
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
     if (s) out += ",";
-    out += "[";
-    for (std::size_t r = 0; r < per_replica[s].size(); ++r) {
-      if (r) out += ",";
-      out += std::to_string(field(per_replica[s][r]));
-    }
-    out += "]";
+    out += std::to_string(field(per_shard[s]));
   }
   return out + "]";
 }
@@ -340,11 +245,6 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       {"shards", util::JsonValue::number(
                      static_cast<std::uint64_t>(cluster.num_shards()))},
       {"partition", util::JsonValue::str(cluster.partitioner().name())},
-      {"replicas", util::JsonValue::number(
-                       static_cast<std::uint64_t>(cluster.num_replicas()))},
-      {"route", util::JsonValue::str(route_policy_name(cluster.route_policy()))},
-      {"replica_queue_depth",
-       util::JsonValue::number(cluster.replica_queue_depth())},
       {"shard_cache_capacity",
        util::JsonValue::number(cluster.shard(0).cache_capacity())},
       {"universe", util::JsonValue::number(
@@ -355,53 +255,25 @@ util::JsonObject cluster_stats_fields(const ShardedCluster& cluster,
       {"cache_hits", util::JsonValue::number(stats.cache_hits)},
       {"bfs_passes", util::JsonValue::number(stats.bfs_passes)},
       {"evictions", util::JsonValue::number(stats.evictions)},
-      {"sheds", util::JsonValue::number(stats.sheds)},
       {"queue_high_water",
        util::JsonValue::number(stats.queue_depth_high_water)},
   };
   // Per-shard request/hit/BFS counters as parallel arrays: deterministic,
   // so a stats diff localizes a routing or cache regression to its shard.
-  const auto joined = [&](auto field) {
-    std::string list = "[";
-    for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
-      if (s) list += ",";
-      list += std::to_string(field(stats.per_shard[s]));
-    }
-    return list + "]";
-  };
   fields.emplace_back(
       "shard_requests",
-      util::JsonValue::literal(
-          joined([](const ShardCounters& c) { return c.requests; })));
+      util::JsonValue::literal(per_shard_array(
+          stats.per_shard, [](const ShardCounters& c) { return c.requests; })));
   fields.emplace_back(
-      "shard_bfs", util::JsonValue::literal(joined([](const ShardCounters& c) {
-        return c.bfs_passes;
-      })));
+      "shard_bfs",
+      util::JsonValue::literal(per_shard_array(
+          stats.per_shard,
+          [](const ShardCounters& c) { return c.bfs_passes; })));
   fields.emplace_back(
-      "shard_hits", util::JsonValue::literal(joined([](const ShardCounters& c) {
-        return c.cache_hits;
-      })));
-  // Per-replica counters as nested arrays (one inner array per shard), so a
-  // routing-policy regression localizes to its (shard, replica) cell.
-  fields.emplace_back(
-      "replica_requests",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.requests; })));
-  fields.emplace_back(
-      "replica_sheds",
-      util::JsonValue::literal(nested(
-          stats.per_replica, [](const ReplicaCounters& c) { return c.sheds; })));
-  fields.emplace_back(
-      "replica_bfs",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.bfs_passes; })));
-  fields.emplace_back(
-      "replica_hits",
-      util::JsonValue::literal(nested(
-          stats.per_replica,
-          [](const ReplicaCounters& c) { return c.cache_hits; })));
+      "shard_hits",
+      util::JsonValue::literal(per_shard_array(
+          stats.per_shard,
+          [](const ShardCounters& c) { return c.cache_hits; })));
   fields.emplace_back("counter_digest", util::JsonValue::hex64(stats.digest()));
   return fields;
 }
@@ -411,50 +283,25 @@ util::JsonObject cluster_metrics_fields(const ShardedCluster& cluster) {
   util::JsonObject fields{
       {"shards", util::JsonValue::number(
                      static_cast<std::uint64_t>(cluster.num_shards()))},
-      {"replicas", util::JsonValue::number(
-                       static_cast<std::uint64_t>(cluster.num_replicas()))},
-      {"route", util::JsonValue::str(route_policy_name(cluster.route_policy()))},
       {"serve_calls", util::JsonValue::number(m.serve_calls)},
       {"queue_depth_high_water",
-       util::JsonValue::number(m.queue_depth_high_water.value())},
+       util::JsonValue::number(m.lifetime.queue_depth_high_water)},
   };
   metrics::append_histogram_fields(&fields, "batch_requests",
                                    m.batch_requests);
-  metrics::append_histogram_fields(&fields, "replica_depth", m.replica_depth);
-  // Lifetime per-replica counters, nested as [shard][replica].
-  std::vector<std::vector<ReplicaCounters>> lifetime;
-  lifetime.reserve(cluster.num_shards());
-  for (unsigned s = 0; s < cluster.num_shards(); ++s) {
-    lifetime.push_back(cluster.group(s).counters());
-  }
+  metrics::append_histogram_fields(&fields, "shard_depth", m.shard_depth);
   fields.emplace_back(
-      "lifetime_replica_requests",
-      util::JsonValue::literal(nested(
-          lifetime, [](const ReplicaCounters& c) { return c.requests; })));
+      "lifetime_shard_requests",
+      util::JsonValue::literal(per_shard_array(
+          m.lifetime.per_shard,
+          [](const ShardCounters& c) { return c.requests; })));
   fields.emplace_back(
-      "lifetime_replica_sheds",
-      util::JsonValue::literal(
-          nested(lifetime, [](const ReplicaCounters& c) { return c.sheds; })));
-  fields.emplace_back(
-      "lifetime_replica_high_water",
-      util::JsonValue::literal(nested(lifetime, [](const ReplicaCounters& c) {
-        return c.queue_high_water;
-      })));
-  metrics::Digest digest;
-  digest.add(cluster.metrics().work_digest());
-  for (const auto& shard : lifetime) {
-    digest.add(shard.size());
-    for (const auto& rc : shard) {
-      digest.add(rc.requests);
-      digest.add(rc.sheds);
-      digest.add(rc.distinct_sources);
-      digest.add(rc.cache_hits);
-      digest.add(rc.bfs_passes);
-      digest.add(rc.evictions);
-      digest.add(rc.queue_high_water);
-    }
-  }
-  fields.emplace_back("metrics_digest", util::JsonValue::hex64(digest.value()));
+      "lifetime_shard_high_water",
+      util::JsonValue::literal(per_shard_array(
+          m.lifetime.per_shard,
+          [](const ShardCounters& c) { return c.queue_high_water; })));
+  fields.emplace_back("metrics_digest",
+                      util::JsonValue::hex64(m.work_digest()));
   // Wall-clock latency last: timing-only, excluded from metrics_digest.
   metrics::append_histogram_fields(&fields, "serve_latency_ms",
                                    m.serve_latency_ms);

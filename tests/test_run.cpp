@@ -125,6 +125,9 @@ TEST(ScenarioMatrix, OracleAxesExpandParseAndTagIds) {
 TEST(ScenarioMatrix, SetRejectsUnknownKeysAndBadValues) {
   run::ScenarioMatrix m;
   EXPECT_THROW(m.set("bogus", "1"), std::invalid_argument);
+  // Keys of removed axes fail loudly instead of being ignored.
+  EXPECT_THROW(m.set("replicas", "2"), std::invalid_argument);
+  EXPECT_THROW(m.set("route", "round-robin"), std::invalid_argument);
   EXPECT_THROW(m.set("n", "12,abc"), std::invalid_argument);
   EXPECT_THROW(m.set("eps", "0.5x"), std::invalid_argument);
   EXPECT_THROW(m.set("verify-mode", "sometimes"), std::invalid_argument);
@@ -301,6 +304,33 @@ TEST(Runner, AlgoAxisCoversBaselinesAndIdentity) {
   en.algo_seed = 99;
   const auto reseeded = runner.run_one(en, 0, {});
   EXPECT_TRUE(reseeded.ok) << reseeded.error;
+}
+
+TEST(Runner, DegenerateFlagMarksRunsThatSkipTheConstruction) {
+  run::ScenarioMatrix m;
+  m.families = {"er"};
+  m.ns = {96};
+  m.seeds = {7};
+  m.epss = {0.5};
+  m.algos = {"em", "identity"};
+  run::Runner runner;
+  const auto rows = runner.run(m.expand());
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) ASSERT_TRUE(row.ok) << row.error;
+  // em on this graph finds popular clusters in phase 0 and drops edges.
+  EXPECT_LT(rows[0].spanner_edges, rows[0].m);
+  EXPECT_FALSE(rows[0].degenerate);
+  // identity keeps every edge (H = E): the guarantee is vacuous.
+  EXPECT_EQ(rows[1].spanner_edges, rows[1].m);
+  EXPECT_TRUE(rows[1].degenerate);
+
+  // Both sinks carry the flag.
+  const auto json = run::render_json(rows);
+  EXPECT_NE(json.find("\"degenerate\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"degenerate\": true"), std::string::npos);
+  const auto csv = run::render_csv(rows);
+  EXPECT_NE(csv.substr(0, csv.find('\n')).find(",degenerate,"),
+            std::string::npos);
 }
 
 TEST(Runner, KeepGraphsRetainsGraphAndSpanner) {

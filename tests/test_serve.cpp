@@ -2,9 +2,10 @@
 // coverage and determinism, router plan/merge round-trips, cluster answers
 // byte-identical across shard counts {1,2,8} x thread counts {1,2,8} x both
 // partitioners and equal to the single-oracle baseline, deterministic
-// cluster counters, snapshot warmup, and the runner's cluster axes.  Per the
-// repo's single-core bench policy these tests assert determinism, never
-// wall-clock.
+// cluster counters, lifetime stats and work metrics, snapshot warmup, and the
+// runner's cluster axes.  These tests assert determinism, never wall-clock;
+// the TSan CI lane runs this binary, so the multi-threaded sweeps double as a
+// data-race probe over the shard oracles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -295,6 +296,106 @@ TEST(ShardedCluster, RejectsBadOptions) {
       ShardedCluster(result.spanner, mult, add,
                      {.shards = 2, .partition = "bogus"}),
       std::invalid_argument);
+}
+
+TEST(ShardedCluster, LifetimeStatsAccumulateAcrossBatches) {
+  // Range partition over [0, 100): vertices 0-49 route to shard 0, 50-99 to
+  // shard 1 (routing key = min endpoint).
+  const Graph g = Graph::from_edges(100, [] {
+    std::vector<graph::Edge> path;
+    for (Vertex v = 0; v + 1 < 100; ++v) path.push_back({v, v + 1});
+    return path;
+  }());
+  ShardedCluster cluster(g, 1.0, 0.0, {.shards = 2, .partition = "range"});
+  const std::vector<Query> low{{1, 2}, {3, 4}, {5, 60}};
+  const std::vector<Query> high{{70, 71}, {80, 90}};
+
+  ClusterStats first, second, third;
+  (void)cluster.serve(low, 2, &first);
+  (void)cluster.serve(low, 2, &second);
+  (void)cluster.serve(high, 2, &third);
+  EXPECT_EQ(first.shards_used, 1u);
+  EXPECT_EQ(third.shards_used, 1u);
+
+  ClusterStats lifetime;
+  lifetime += first;
+  lifetime += second;
+  // shards_used is recomputed from the merged per-shard requests: two
+  // batches on the same shard still count one shard.
+  EXPECT_EQ(lifetime.shards_used, 1u);
+  lifetime += third;
+  EXPECT_EQ(lifetime.shards_used, 2u);
+  EXPECT_EQ(lifetime.requests, 2 * low.size() + high.size());
+  ASSERT_EQ(lifetime.per_shard.size(), 2u);
+  EXPECT_EQ(lifetime.per_shard[0].requests, 2 * low.size());
+  EXPECT_EQ(lifetime.per_shard[1].requests, high.size());
+  // High-water marks merge by max, not by sum.
+  EXPECT_EQ(lifetime.queue_depth_high_water, low.size());
+  EXPECT_EQ(lifetime.per_shard[0].queue_high_water, low.size());
+  EXPECT_EQ(lifetime.per_shard[1].queue_high_water, high.size());
+  EXPECT_EQ(lifetime.bfs_passes,
+            first.bfs_passes + second.bfs_passes + third.bfs_passes);
+
+  // The cluster's own lifetime counters agree with the summed stats.
+  EXPECT_EQ(cluster.metrics().lifetime.digest(), lifetime.digest());
+}
+
+TEST(ShardedCluster, MetricsTrackWorkDeterministically) {
+  const Graph g = graph::make_workload("er", 150, 4);
+  const auto result = build_result(g);
+  const ClusterOptions options{.shards = 2};
+  const auto batch =
+      apps::make_query_workload(g.num_vertices(), {"uniform", 100, 1, 0.99});
+
+  const auto run_digest = [&](unsigned threads) {
+    ShardedCluster cluster(result.spanner,
+                           result.params.stretch_multiplicative(),
+                           result.params.stretch_additive(), options);
+    ClusterStats stats;
+    (void)cluster.serve(batch, threads, &stats);
+    (void)cluster.serve(batch, threads);
+    const auto& m = cluster.metrics();
+    EXPECT_EQ(m.serve_calls, 2u);
+    EXPECT_EQ(m.batch_requests.total(), 2u);
+    EXPECT_EQ(m.batch_requests.sum(), 2 * batch.size());
+    // One shard_depth sample per non-empty shard per pass.
+    EXPECT_EQ(m.shard_depth.total(), 2 * stats.shards_used);
+    EXPECT_EQ(m.shard_depth.sum(), 2 * batch.size());
+    EXPECT_EQ(m.lifetime.requests, 2 * batch.size());
+    return m.work_digest();
+  };
+  // The work digest — which excludes the serve-latency histogram — is
+  // byte-stable across thread counts and fresh runs.
+  const auto d1 = run_digest(1);
+  EXPECT_EQ(run_digest(2), d1);
+  EXPECT_EQ(run_digest(8), d1);
+
+  // The rendered METRICS schema carries the digest, both work histograms,
+  // and the lifetime per-shard arrays.
+  ShardedCluster cluster(result.spanner,
+                         result.params.stretch_multiplicative(),
+                         result.params.stretch_additive(), options);
+  ClusterStats stats;
+  (void)cluster.serve(batch, 1, &stats);
+  const auto fields = serve::cluster_metrics_fields(cluster);
+  const auto field = [&](const std::string& key) -> std::string {
+    for (const auto& [k, value] : fields) {
+      if (k == key) return value.text;
+    }
+    ADD_FAILURE() << "missing METRICS field " << key;
+    return "";
+  };
+  EXPECT_EQ(field("lifetime_shard_requests"),
+            "[" + std::to_string(stats.per_shard[0].requests) + "," +
+                std::to_string(stats.per_shard[1].requests) + "]");
+  EXPECT_EQ(field("lifetime_shard_high_water"),
+            field("lifetime_shard_requests"));
+  EXPECT_EQ(field("queue_depth_high_water"),
+            std::to_string(stats.queue_depth_high_water));
+  EXPECT_FALSE(field("metrics_digest").empty());
+  EXPECT_FALSE(field("batch_requests_le").empty());
+  EXPECT_FALSE(field("shard_depth_le").empty());
+  EXPECT_FALSE(field("serve_latency_ms_le").empty());
 }
 
 // --- snapshot warmup ---------------------------------------------------------

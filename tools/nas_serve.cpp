@@ -10,8 +10,8 @@
 //   ./nas_serve --family er --n 2000 --eps 0.25 --shards 8 --partition hash
 //               --workload zipf --queries 20000 --answers out.txt
 //
-//   # warm every shard from a NAS-ORACLE snapshot (one path = replicated;
-//   # a comma list = one snapshot per shard)
+//   # warm every shard from a NAS-ORACLE snapshot (one path = shared by
+//   # every shard; a comma list = one snapshot per shard)
 //   ./nas_serve --load oracle.naso --shards 8 --workload zipf --queries 20000
 //
 //   # answer an explicit query file ("u v" lines, '#' comments)
@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
     // Cluster source: snapshot path(s), or a graph + schedule to build from.
     const std::string load_spec = flags.str(
         "load", "",
-        "warm shards from snapshot path(s): one path replicates, a comma "
-        "list is one snapshot per shard");
+        "warm shards from snapshot path(s): one path is shared by every "
+        "shard, a comma list is one snapshot per shard");
     const std::string family = flags.str(
         "family", "er", "graph family (or file:<path> for an edge list)");
     const auto n = static_cast<graph::Vertex>(
@@ -81,18 +81,6 @@ int main(int argc, char** argv) {
     }
     const std::string partition =
         flags.str("partition", "hash", "vertex partitioner: hash|range");
-    const auto replicas = static_cast<unsigned>(
-        non_negative("replicas", 1, "replicas per shard (>= 1)"));
-    if (replicas == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --replicas must be >= 1, got 0");
-    }
-    const std::string route = flags.str(
-        "route", "round-robin",
-        "replica routing policy: round-robin|least-loaded|deterministic "
-        "(answers are byte-identical for every choice)");
-    const auto replica_queue_depth = static_cast<std::uint64_t>(non_negative(
-        "replica-queue-depth", 0,
-        "per-replica admission cap before shedding to the group, 0 = off"));
     const std::string snapshot_format_guard = flags.str(
         "snapshot-format", "auto",
         "require --load snapshots to be this format: auto|v1|v2 (auto "
@@ -153,9 +141,6 @@ int main(int argc, char** argv) {
     const serve::ClusterOptions cluster_options{
         .shards = shards,
         .partition = partition,
-        .replicas = replicas,
-        .route = route,
-        .replica_queue_depth = replica_queue_depth,
         .shard_cache_budget_bytes = cache_budget,
         .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
     util::Timer build_timer;
@@ -179,9 +164,7 @@ int main(int argc, char** argv) {
     const double build_ms = build_timer.millis();
     std::cerr << "cluster: " << cluster.num_shards() << " shards ("
               << cluster.partitioner().name() << " partition), "
-              << cluster.num_replicas() << " replicas/shard ("
-              << serve::route_policy_name(cluster.route_policy())
-              << " routing), " << cluster.shard(0).summary() << " per shard, "
+              << cluster.shard(0).summary() << " per shard, "
               << "guarantee d_H <= " << cluster.multiplicative() << "*d_G + "
               << cluster.additive() << ", cache capacity "
               << cluster.shard(0).cache_capacity() << " sources/shard\n";

@@ -6,7 +6,7 @@
 //   Q <u> <v>   ->  "<u> <v> <d>"        (one line, nas_oracle byte format)
 //   BATCH <n>   +   n "<u> <v>" lines -> n answer lines in request order
 //   STATS       ->  one cluster+server stats JSON line
-//   METRICS     ->  one metrics JSON line (histograms, replica counters)
+//   METRICS     ->  one metrics JSON line (histograms, per-shard counters)
 //   QUIT        ->  "BYE", then the connection closes
 //
 //   # build from a generated graph and serve on an ephemeral port
@@ -24,10 +24,10 @@
 // the process exits 0.  A second signal exits immediately.
 //
 // Answer lines are byte-identical to nas_oracle/nas_serve for the same
-// requests at every --shards/--partition/--replicas/--route/--threads/
-// --bfs-kernel value — CI's serving gate replays a workload through
-// bench/serve_latency and cmp's the transcript against the nas_oracle
-// answers file, at several replica counts and routing policies.
+// requests at every --shards/--partition/--threads/--bfs-kernel value —
+// CI's serving gate replays a workload through bench/serve_latency and
+// cmp's the transcript against the nas_oracle answers file, at several
+// shard counts and BFS kernels.
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
     // (same flags as nas_serve).
     const std::string load_spec = flags.str(
         "load", "",
-        "warm shards from snapshot path(s): one path replicates, a comma "
-        "list is one snapshot per shard");
+        "warm shards from snapshot path(s): one path is shared by every "
+        "shard, a comma list is one snapshot per shard");
     const std::string family = flags.str(
         "family", "er", "graph family (or file:<path> for an edge list)");
     const auto n = static_cast<graph::Vertex>(
@@ -108,18 +108,6 @@ int main(int argc, char** argv) {
     }
     const std::string partition =
         flags.str("partition", "hash", "vertex partitioner: hash|range");
-    const auto replicas = static_cast<unsigned>(
-        non_negative("replicas", 1, "replicas per shard (>= 1)"));
-    if (replicas == 0 && !flags.help_requested()) {
-      throw std::invalid_argument("flag --replicas must be >= 1, got 0");
-    }
-    const std::string route = flags.str(
-        "route", "round-robin",
-        "replica routing policy: round-robin|least-loaded|deterministic "
-        "(answers are byte-identical for every choice)");
-    const auto replica_queue_depth = static_cast<std::uint64_t>(non_negative(
-        "replica-queue-depth", 0,
-        "per-replica admission cap before shedding to the group, 0 = off"));
     const std::string snapshot_format_guard = flags.str(
         "snapshot-format", "auto",
         "require --load snapshots to be this format: auto|v1|v2 (auto "
@@ -184,9 +172,6 @@ int main(int argc, char** argv) {
     const serve::ClusterOptions cluster_options{
         .shards = shards,
         .partition = partition,
-        .replicas = replicas,
-        .route = route,
-        .replica_queue_depth = replica_queue_depth,
         .shard_cache_budget_bytes = cache_budget,
         .bfs_kernel = graph::parse_bfs_kernel(bfs_kernel_name)};
     serve::ShardedCluster cluster = [&] {
@@ -208,9 +193,7 @@ int main(int argc, char** argv) {
     }();
     std::cerr << "cluster: " << cluster.num_shards() << " shards ("
               << cluster.partitioner().name() << " partition), "
-              << cluster.num_replicas() << " replicas/shard ("
-              << serve::route_policy_name(cluster.route_policy())
-              << " routing), " << cluster.shard(0).summary() << " per shard\n";
+              << cluster.shard(0).summary() << " per shard\n";
 
     net::ServerOptions server_options;
     server_options.listen = listen;
